@@ -69,6 +69,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,8 +121,9 @@ struct RunResult {
   /// Process peak RSS right after the fit (getrusage high-water mark:
   /// monotone across the process, so per-scale values are running maxima).
   std::uint64_t peak_rss_bytes = 0;
-  /// 1-thread total / this run's total; only set on the multi-thread leg.
-  double parallel_speedup = 0;
+  /// 1-thread total / this run's total; only set on the multi-thread leg
+  /// (written as JSON null elsewhere).
+  std::optional<double> parallel_speedup;
   /// Per-prefix (static cost, measured full-run seconds) samples; pooled
   /// across scales in main for the cost-model validation.
   std::vector<double> prefix_costs;
@@ -316,10 +318,13 @@ void append_json(nb::JsonWriter& w, const RunResult& run) {
   w.key("messages_per_second").value_fixed(messages_per_second(run), 0);
   w.key("routers_per_second").value_fixed(routers_per_second(run), 1);
   w.key("peak_rss_bytes").value(run.peak_rss_bytes);
-  w.key("sharded_iterations").value(run.refine.sharded_iterations);
-  // 0 on 1-thread legs; the multi-thread leg carries its speedup over the
-  // 1-thread fit at the same scale.
-  w.key("parallel_speedup").value_fixed(run.parallel_speedup, 3);
+  // null on 1-thread legs; the multi-thread leg carries its speedup over
+  // the 1-thread fit at the same scale.
+  w.key("parallel_speedup");
+  if (run.parallel_speedup.has_value())
+    w.value_fixed(*run.parallel_speedup, 3);
+  else
+    w.raw("null");
   w.key("phase_seconds").begin_object();
   w.key("simulate").value_fixed(run.refine.phase_seconds.simulate, 6);
   w.key("heuristic").value_fixed(run.refine.phase_seconds.heuristic, 6);
@@ -423,7 +428,8 @@ int main(int argc, char** argv) {
   bool identical = true;
   std::vector<RunResult> runs;
   for (const double scale : scales) {
-    const std::string* one_thread_model = nullptr;
+    // Index into `runs`, not a pointer: later push_backs may reallocate.
+    std::optional<std::size_t> one_thread_run;
     double one_thread_total = 0;
     std::vector<unsigned> thread_counts{1};
     if (multi != 1) thread_counts.push_back(multi);
@@ -452,9 +458,9 @@ int main(int argc, char** argv) {
           static_cast<double>(run.peak_rss_bytes) / (1024.0 * 1024.0),
           run.route_space_seconds, run.workset_seconds, run.compact_speedup);
       runs.push_back(std::move(run));
-      if (one_thread_model == nullptr) {
-        one_thread_model = &runs.back().model_text;
-      } else if (*one_thread_model != runs.back().model_text) {
+      if (!one_thread_run.has_value()) {
+        one_thread_run = runs.size() - 1;
+      } else if (runs[*one_thread_run].model_text != runs.back().model_text) {
         identical = false;
         std::fprintf(stderr,
                      "bench_refine: FITTED MODEL DIFFERS between 1 and %u "
@@ -558,12 +564,13 @@ int main(int argc, char** argv) {
   bool parallel_pass = true;
   for (const RunResult& run : runs) {
     if (run.threads == 1 || multi == 1 || run.scale < 0.15) continue;
-    if (run.parallel_speedup > 0 && run.parallel_speedup < 1.0) {
+    if (run.parallel_speedup.has_value() && *run.parallel_speedup > 0 &&
+        *run.parallel_speedup < 1.0) {
       parallel_pass = false;
       std::fprintf(stderr,
                    "bench_refine: PARALLEL SWEEP SLOWER THAN SERIAL at scale "
                    "%.3f (%.3fx with %u threads)\n",
-                   run.scale, run.parallel_speedup, run.threads_used);
+                   run.scale, *run.parallel_speedup, run.threads_used);
     }
   }
 

@@ -58,6 +58,7 @@
 #include "netbase/cli.hpp"
 #include "netbase/json.hpp"
 #include "netbase/socket.hpp"
+#include "netbase/stats.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -102,9 +103,8 @@ struct Percentiles {
 Percentiles percentiles(std::vector<double> samples) {
   Percentiles result;
   if (samples.empty()) return result;
-  std::sort(samples.begin(), samples.end());
-  result.p50_us = samples[samples.size() / 2];
-  result.p99_us = samples[(samples.size() * 99) / 100];
+  result.p50_us = nb::percentile(samples, 50);
+  result.p99_us = nb::percentile(samples, 99);
   double sum = 0;
   for (const double sample : samples) sum += sample;
   result.mean_us = sum / static_cast<double>(samples.size());

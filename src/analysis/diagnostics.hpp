@@ -177,14 +177,9 @@ inline constexpr const char* kStructureDiffers = "A811-structure-differs";
 // Working-set & shard-plan analysis (workset / partition).  A820 marks a
 // prefix whose working set fell back to the relaxed reachability bound
 // (MAY enumeration truncated), so its cost estimate is coarse; A821 warns
-// that the emitted shard plan exceeds the balanced-load target.  A822
-// rejects an externally supplied shard plan whose dataset fingerprint does
-// not match the model being refined (the plan's workset indices would be
-// mis-mapped); refine_model stops with RefineStop::kFault.
+// that the emitted shard plan exceeds the balanced-load target.
 inline constexpr const char* kWorksetRelaxed = "A820-workset-relaxed";
 inline constexpr const char* kPlanImbalance = "A821-plan-imbalance";
-inline constexpr const char* kPlanFingerprintMismatch =
-    "A822-plan-fingerprint-mismatch";
 
 // Single source of truth for every stable diagnostic code.  New codes must
 // be added here (and documented in DESIGN.md); tests assert the table is
@@ -220,7 +215,6 @@ inline constexpr const char* kRegistry[] = {
     // A8xx static route-space analysis
     kStaticBlackhole, kRouteSpaceTruncated, kRouteSetDiffers,
     kStructureDiffers, kWorksetRelaxed, kPlanImbalance,
-    kPlanFingerprintMismatch,
 };
 
 inline constexpr std::size_t kRegistrySize =

@@ -113,7 +113,6 @@ ShardPlan plan_shards(const std::vector<PrefixWorkset>& worksets,
     }
 
     plan.shards[best].prefixes.push_back(p);
-    plan.shards[best].prefix_costs.push_back(ws.cost);
     plan.shards[best].cost += ws.cost;
     for (std::size_t r = 0; r < num_routers; ++r) {
       if (ws.members[r] != 0) covered[best][r] = 1;

@@ -41,11 +41,6 @@ struct ShardPlan {
     /// Indices into the workset vector the plan was built from, in
     /// placement order.
     std::vector<std::size_t> prefixes;
-    /// Static cost of each placed prefix, aligned with `prefixes` -- lets
-    /// a consumer executing the plan over a SUBSET of prefixes (the
-    /// shard-executed sweep's active set) price the work it actually runs
-    /// without re-deriving worksets.
-    std::vector<std::uint64_t> prefix_costs;
     std::uint64_t cost = 0;
     /// Distinct routers covered by the shard's working sets.
     std::size_t routers = 0;
@@ -64,9 +59,9 @@ struct ShardPlan {
   std::size_t relaxed_prefixes = 0;
   /// Dataset fingerprint (plan_fingerprint): identifies the (model router
   /// count, per-prefix origin sequence) the plan's workset indices refer
-  /// to.  Consumers executing an externally supplied plan -- refine_model
-  /// via RefineConfig::shard_plan -- recompute the model-side fingerprint
-  /// and reject a mismatch with A822 rather than mis-mapping indices.
+  /// to, so a consumer reading a saved plan can recompute the model-side
+  /// fingerprint and refuse a plan built for another model rather than
+  /// mis-mapping indices.
   std::uint64_t fingerprint = 0;
 };
 

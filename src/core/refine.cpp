@@ -644,74 +644,6 @@ RefineResult refine_model(topo::Model& model,
     return std::move(result);
   };
 
-  // Externally supplied shard plan (RefineConfig::shard_plan): its workset
-  // indices refer to compute_all_worksets order -- the INITIAL model's
-  // ascending AS list -- so it is only meaningful if its dataset
-  // fingerprint matches this model.  Verified once up front; executing a
-  // mismatched plan would silently mis-map prefixes to shards, so reject
-  // it loudly (A822, kFault) instead.  The check is against the pre-fit
-  // model on purpose: refinement adds routers, and the plan's shard
-  // ASSIGNMENT (origin -> shard) stays valid regardless because origins
-  // never change.
-  std::vector<std::size_t> work_shard;  // work index -> assigned shard
-  std::vector<std::uint64_t> work_cost;  // work index -> planned cost
-  if (config.shard_plan != nullptr) {
-    const analysis::ShardPlan& plan = *config.shard_plan;
-    const std::uint64_t model_fp = analysis::plan_fingerprint(model);
-    bool indices_ok = plan.num_shards > 0;
-    const std::vector<Asn> asns = model.asns();
-    for (const analysis::ShardPlan::Shard& shard : plan.shards) {
-      for (const std::size_t p : shard.prefixes)
-        indices_ok = indices_ok && p < asns.size();
-    }
-    if (plan.fingerprint != model_fp || !indices_ok) {
-      char have[17], want[17];
-      std::snprintf(have, sizeof have, "%016llx",
-                    static_cast<unsigned long long>(plan.fingerprint));
-      std::snprintf(want, sizeof want, "%016llx",
-                    static_cast<unsigned long long>(model_fp));
-      push_diag(analysis::Severity::kError,
-                analysis::codes::kPlanFingerprintMismatch, "shard-plan",
-                std::string("externally supplied shard plan does not match "
-                            "the model being refined (plan fingerprint ") +
-                    have + ", model " + want +
-                    (indices_ok ? "" : "; plan indexes past the AS list") +
-                    "); refusing to execute it");
-      result.stop = RefineStop::kFault;
-      if (flight != nullptr)
-        flight->record(0, obs::FlightEventType::kFault, 0, /*kind=*/1);
-      return finish();
-    }
-    // Map each work item's origin to its planned shard (and its planned
-    // per-prefix cost, so the profiler can price the shards the plan's
-    // assignment yields over each iteration's ACTIVE subset).  asns is
-    // ascending and plan index p names asns[p]'s prefix, so a binary
-    // search per work item resolves the assignment.  Origins a plan
-    // somehow omits default to shard 0 -- scheduling only, never
-    // correctness.  Plans predating Shard::prefix_costs price as 0.
-    std::vector<std::size_t> shard_of(asns.size(), 0);
-    std::vector<std::uint64_t> cost_of(asns.size(), 0);
-    for (std::size_t s = 0; s < plan.shards.size(); ++s) {
-      const analysis::ShardPlan::Shard& shard = plan.shards[s];
-      const bool priced = shard.prefix_costs.size() == shard.prefixes.size();
-      for (std::size_t j = 0; j < shard.prefixes.size(); ++j) {
-        shard_of[shard.prefixes[j]] = s;
-        if (priced) cost_of[shard.prefixes[j]] = shard.prefix_costs[j];
-      }
-    }
-    work_shard.resize(work.size(), 0);
-    work_cost.resize(work.size(), 0);
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      const auto it =
-          std::lower_bound(asns.begin(), asns.end(), work[i].origin);
-      if (it != asns.end() && *it == work[i].origin) {
-        const auto p = static_cast<std::size_t>(it - asns.begin());
-        work_shard[i] = shard_of[p];
-        work_cost[i] = cost_of[p];
-      }
-    }
-  }
-
   std::size_t start_iteration = 1;
   if (config.resume != nullptr) {
     const topo::RefineCheckpoint& ck = *config.resume;
@@ -791,9 +723,9 @@ RefineResult refine_model(topo::Model& model,
     std::uint64_t dur_us = 0;
     unsigned worker = 0;
   };
-  // Per executed shard of an instrumented shard-executed sweep: which
-  // worker ran it, its span on the sweep clock, and the worker arena's
-  // high-water mark when it finished.
+  // Per executed shard of an instrumented sweep: which worker ran it, its
+  // span on the sweep clock, and the worker arena's high-water mark when it
+  // finished.
   struct ShardRec {
     unsigned worker = 0;
     std::uint64_t start_us = 0;
@@ -801,18 +733,14 @@ RefineResult refine_model(topo::Model& model,
     std::uint64_t arena_bytes = 0;
   };
 
-  // Sweep compaction (RefineConfig::compact_sweep; DESIGN.md section 12):
-  // in agnostic mode each prefix simulates over its static working set.
-  // The relaxed reachability bound is the working set of choice here -- it
-  // is sound for the specialized loop (routers outside it sit behind
-  // kDenyAll filters, so a full run provably leaves them empty) and costs
-  // one session BFS per (generation, prefix), served by the cache across
-  // the sweep.  Engine::build_view returns null for non-agnostic option
-  // sets, which keeps the fallback decision in one place.
-  const bool compact_sweep = config.compact_sweep &&
-                             !config.engine.use_relationship_policies &&
-                             !config.engine.use_igp_cost &&
-                             !config.engine.use_ibgp_mesh;
+  // Sweep compaction (DESIGN.md section 12): each prefix simulates over
+  // its static working set.  The relaxed reachability bound is the working
+  // set of choice here -- it is sound for the specialized loop (routers
+  // outside it sit behind kDenyAll filters, so a full run provably leaves
+  // them empty) and costs one session BFS per (generation, prefix), served
+  // by the cache the shard planner primed.  Engine::build_view returns
+  // null for non-agnostic option sets (relationship policies, IGP costs,
+  // iBGP mesh), so that is the one place the full-run fallback is decided.
   // One simulation arena per pool slot: parallel_for_worker guarantees a
   // slot is owned by one thread per batch, so sweeps reuse these buffers
   // across prefixes and iterations with no per-message heap traffic.
@@ -821,15 +749,13 @@ RefineResult refine_model(topo::Model& model,
   const auto simulate = [&](const PrefixWork& w, bgp::SimCounters* counters,
                             unsigned worker, PrefixSimResult& out) {
     bgp::SimMemory& mem = sim_memory[worker];
-    if (compact_sweep) {
-      const std::shared_ptr<const std::vector<char>> members =
-          reach_cache.relaxed(model, w.prefix, w.origin);
-      if (std::shared_ptr<const bgp::PrefixView> view =
-              engine.build_view(w.prefix, w.origin, *members)) {
-        compacted_runs.fetch_add(1, std::memory_order_relaxed);
-        engine.run_compacted_into(std::move(view), mem, counters, out);
-        return;
-      }
+    const std::shared_ptr<const std::vector<char>> members =
+        reach_cache.relaxed(model, w.prefix, w.origin);
+    if (std::shared_ptr<const bgp::PrefixView> view =
+            engine.build_view(w.prefix, w.origin, *members)) {
+      compacted_runs.fetch_add(1, std::memory_order_relaxed);
+      engine.run_compacted_into(std::move(view), mem, counters, out);
+      return;
     }
     engine.run_into(w.prefix, w.origin, mem, counters, nullptr, out);
   };
@@ -843,8 +769,6 @@ RefineResult refine_model(topo::Model& model,
   std::vector<analysis::Diagnostics> sim_diags;
   std::vector<bgp::SimCounters> sim_counters;
   std::vector<PrefixSpan> spans;
-  std::vector<std::vector<std::size_t>> shard_items;
-  std::vector<std::uint64_t> shard_predicted;
   std::vector<ShardRec> shard_recs;
   std::vector<analysis::PrefixWorkset> iter_worksets;
   for (std::size_t iteration = start_iteration;
@@ -883,85 +807,55 @@ RefineResult refine_model(topo::Model& model,
     };
     obs::PhaseTimer sim_timer(reg, metrics.simulate_ns, trace, "simulate",
                               iter_args(iteration));
-    // Shard-executed schedule (RefineConfig::shard_sweep; DESIGN.md
-    // section 13): instead of handing the pool a flat index range, group
-    // the active prefixes into cost-balanced shards -- the external plan's
-    // assignment, or a fresh plan over this iteration's relaxed worksets
-    // -- and hand the pool one task per shard.  Scheduling only: results
-    // still land in their deterministic slots and the apply phase stays
-    // serial, so the fitted model is byte-identical to the flat sweep at
-    // every thread and shard count.
-    const bool shard_exec = config.shard_sweep && active > 1;
-    // Sweep profiling (DESIGN.md section 14): shard samples are collected
-    // whenever the sweep is both shard-executed and instrumented; the
-    // flight recorder's shard events ride the same hooks.  Neither exists
-    // on the zero-observer path.
-    const bool sweep_profiled = counting && shard_exec;
-    const std::uint64_t sweep_t0 =
-        (sweep_profiled || flight != nullptr) ? sweep_now_us() : 0;
+    // Shard-executed schedule (DESIGN.md section 13): the active prefixes
+    // are grouped into threads_used cost-balanced shards, planned afresh
+    // each iteration because the model mutated since the last one, and the
+    // pool runs one task per shard.  Scheduling only: results land in
+    // their deterministic slots and the apply phase stays serial, so the
+    // fitted model is byte-identical at every thread count.  With counters
+    // attached every shard is also timed into a profiler sample (DESIGN.md
+    // section 14); the flight recorder's shard events ride the same hooks.
+    // The zero-observer path takes no timestamps.
+    const std::uint64_t sweep_t0 = counting ? sweep_now_us() : 0;
+    analysis::ShardPlan plan;
     bool sweep_faulted = false;
     try {
-    shard_items.clear();
-    shard_predicted.clear();
-    if (shard_exec) {
-      if (config.shard_plan != nullptr) {
-        shard_items.assign(config.shard_plan->num_shards, {});
-        for (std::size_t i = 0; i < active; ++i)
-          shard_items[work_shard[active_index[i]]].push_back(i);
-        shard_predicted.assign(shard_items.size(), 0);
-        if (sweep_profiled || flight != nullptr) {
-          // Price each shard over the ACTIVE subset it actually runs this
-          // iteration, not the plan's full-sweep load.
-          for (std::size_t s = 0; s < shard_items.size(); ++s) {
-            for (const std::size_t i : shard_items[s])
-              shard_predicted[s] += work_cost[active_index[i]];
-          }
-        }
-      } else {
-        // Fresh plan each iteration: the model mutated since the last
-        // one.  Each active prefix's relaxed bound is primed in parallel
-        // through reach_cache -- the compacted sweep reads the very same
-        // entries back, so this is a prefetch, not duplicated work.
-        iter_worksets.assign(active, {});
-        analysis::WorksetOptions ws_options;
-        ws_options.exact = false;
-        pool.parallel_for(active, [&](std::size_t i) {
-          const PrefixWork& w = work[active_index[i]];
-          iter_worksets[i] = analysis::compute_working_set(
-              engine, w.prefix, w.origin, ws_options, &reach_cache, nullptr);
-        });
-        analysis::PlanOptions plan_options;
-        plan_options.shards = result.threads_used;
-        const analysis::ShardPlan plan = analysis::plan_shards(
-            iter_worksets, model.num_routers(), plan_options, nullptr);
-        shard_items.assign(plan.shards.size(), {});
-        shard_predicted.assign(plan.shards.size(), 0);
-        for (std::size_t s = 0; s < plan.shards.size(); ++s) {
-          shard_items[s] = plan.shards[s].prefixes;
-          shard_predicted[s] = plan.shards[s].cost;
-        }
+      // Each active prefix's relaxed bound is primed in parallel through
+      // reach_cache -- the compacted runs read the very same entries back,
+      // so this is a prefetch, not duplicated work.
+      iter_worksets.assign(active, {});
+      analysis::WorksetOptions ws_options;
+      ws_options.exact = false;
+      pool.parallel_for(active, [&](std::size_t i) {
+        const PrefixWork& w = work[active_index[i]];
+        iter_worksets[i] = analysis::compute_working_set(
+            engine, w.prefix, w.origin, ws_options, &reach_cache, nullptr);
+      });
+      analysis::PlanOptions plan_options;
+      plan_options.shards = result.threads_used;
+      plan = analysis::plan_shards(iter_worksets, model.num_routers(),
+                                   plan_options, nullptr);
+
+      // Instrumented runs also fill per-prefix SimCounters and per-worker
+      // metric shards.  The shards merge into the registry in ascending
+      // worker order when the group leaves scope (after the pool barrier),
+      // so totals are deterministic for every thread count.
+      if (counting) {
+        sim_counters.assign(active, {});
+        shard_recs.assign(plan.shards.size(), {});
       }
-      ++result.sharded_iterations;
-    }
-    if (counting) {
-      // Instrumented sweep: identical engine runs, plus per-prefix
-      // SimCounters and per-worker metric shards.  The shards merge into
-      // the registry in ascending worker order when the group leaves
-      // scope (after the pool barrier), so totals are deterministic for
-      // every thread count.
-      sim_counters.assign(active, {});
       if (prefix_trace) spans.assign(active, {});
-      std::optional<obs::ShardGroup> shards;
-      if (reg != nullptr) shards.emplace(*reg, pool.shard_count());
+      std::optional<obs::ShardGroup> metric_shards;
+      if (reg != nullptr) metric_shards.emplace(*reg, pool.shard_count());
       const auto run_item = [&](unsigned worker, std::size_t i) {
         inject_worker_fault(i);
         const PrefixWork& w = work[active_index[i]];
         const std::uint64_t t0 = prefix_trace ? trace->now_us() : 0;
-        simulate(w, &sim_counters[i], worker, sims[i]);
+        simulate(w, counting ? &sim_counters[i] : nullptr, worker, sims[i]);
         if (prefix_trace)
           spans[i] = {t0, trace->now_us() - t0, worker};
-        if (shards.has_value()) {
-          obs::Shard& shard = shards->shard(worker);
+        if (metric_shards.has_value()) {
+          obs::Shard& shard = metric_shards->shard(worker);
           const bgp::SimCounters& c = sim_counters[i];
           shard.add(metrics.engine_messages, c.messages);
           shard.add(metrics.engine_activations, c.activations);
@@ -973,55 +867,27 @@ RefineResult refine_model(topo::Model& model,
                         static_cast<double>(c.messages));
         }
       };
-      if (shard_exec) {
-        // Wrap each shard in a timed span (trace clock) and flight events;
-        // the ShardRec lands in the shard's own slot, so the serial
-        // post-sweep pass reads it race-free after the pool barrier.
-        shard_recs.assign(shard_items.size(), {});
-        pool.parallel_for_worker(
-            shard_items.size(), [&](unsigned worker, std::size_t s) {
-              const std::uint64_t t0 = sweep_now_us();
-              if (flight != nullptr)
-                flight->record(1 + worker, obs::FlightEventType::kShardStart,
-                               iteration, s, shard_predicted[s]);
-              for (const std::size_t i : shard_items[s]) run_item(worker, i);
-              const std::uint64_t arena =
-                  sim_memory[worker].footprint_bytes();
-              if (flight != nullptr)
-                flight->record(1 + worker, obs::FlightEventType::kShardEnd,
-                               iteration, s, arena);
-              shard_recs[s] =
-                  ShardRec{worker, t0, sweep_now_us() - t0, arena};
-            });
-      } else {
-        pool.parallel_for_worker(active, run_item);
-      }
-    } else {
-      // Zero-observer sweep: the pre-observability code path, modulo the
-      // worker-slot simulation arena (and, when a flight recorder is
-      // attached, one ring write per shard boundary -- recording only,
-      // nothing is timed or aggregated here).
-      const auto run_item = [&](unsigned worker, std::size_t i) {
-        inject_worker_fault(i);
-        const PrefixWork& w = work[active_index[i]];
-        simulate(w, nullptr, worker, sims[i]);
-      };
-      if (shard_exec) {
-        pool.parallel_for_worker(
-            shard_items.size(), [&](unsigned worker, std::size_t s) {
-              if (flight != nullptr)
-                flight->record(1 + worker, obs::FlightEventType::kShardStart,
-                               iteration, s, shard_predicted[s]);
-              for (const std::size_t i : shard_items[s]) run_item(worker, i);
-              if (flight != nullptr)
-                flight->record(1 + worker, obs::FlightEventType::kShardEnd,
-                               iteration, s,
-                               sim_memory[worker].footprint_bytes());
-            });
-      } else {
-        pool.parallel_for_worker(active, run_item);
-      }
-    }
+      // Each ShardRec lands in its shard's own slot, so the serial
+      // post-sweep pass reads it race-free after the pool barrier.
+      pool.parallel_for_worker(
+          plan.shards.size(), [&](unsigned worker, std::size_t s) {
+            const analysis::ShardPlan::Shard& shard = plan.shards[s];
+            // Empty shards (more workers than active prefixes) record
+            // nothing, so they push no events into the flight recorder.
+            if (shard.prefixes.empty()) return;
+            const std::uint64_t t0 = counting ? sweep_now_us() : 0;
+            if (flight != nullptr)
+              flight->record(1 + worker, obs::FlightEventType::kShardStart,
+                             iteration, s, shard.cost);
+            for (const std::size_t i : shard.prefixes) run_item(worker, i);
+            if (!counting && flight == nullptr) return;
+            const std::uint64_t arena = sim_memory[worker].footprint_bytes();
+            if (flight != nullptr)
+              flight->record(1 + worker, obs::FlightEventType::kShardEnd,
+                             iteration, s, arena);
+            if (counting)
+              shard_recs[s] = ShardRec{worker, t0, sweep_now_us() - t0, arena};
+          });
     } catch (const std::exception& e) {
       // A worker body threw (the pool drains the batch, rethrows here, and
       // stays usable).  The model still reflects the last completed
@@ -1039,13 +905,13 @@ RefineResult refine_model(topo::Model& model,
     }
     sim_timer.stop();
     result.phase_seconds.simulate += sim_timer.seconds();
-    const std::uint64_t sweep_t1 = sweep_profiled ? sweep_now_us() : 0;
+    const std::uint64_t sweep_t1 = counting ? sweep_now_us() : 0;
     if (sweep_faulted) {
       result.stop = RefineStop::kFault;
       write_checkpoint(iteration - 1);
       break;
     }
-    if (sweep_profiled) {
+    if (counting) {
       // Serial post-sweep collection (after the pool barrier): one sample
       // per non-empty shard, plus this iteration's sweep span -- the raw
       // material obs::profile_sweep and `rdtool profile` attribute
@@ -1054,20 +920,21 @@ RefineResult refine_model(topo::Model& model,
       // measured correlation with (0, ~0) pairs.
       const bool shard_trace =
           trace != nullptr && trace->enabled(obs::TraceLevel::kIteration);
-      for (std::size_t s = 0; s < shard_items.size(); ++s) {
-        if (shard_items[s].empty()) continue;
+      for (std::size_t s = 0; s < plan.shards.size(); ++s) {
+        const analysis::ShardPlan::Shard& shard = plan.shards[s];
+        if (shard.prefixes.empty()) continue;
         std::uint64_t shard_messages = 0;
-        for (const std::size_t i : shard_items[s])
+        for (const std::size_t i : shard.prefixes)
           shard_messages += sim_counters[i].messages;
         obs::SweepShardSample sample;
         sample.iteration = iteration;
         sample.shard = s;
         sample.worker = shard_recs[s].worker;
-        sample.predicted_cost = shard_predicted[s];
+        sample.predicted_cost = shard.cost;
         sample.start_us = shard_recs[s].start_us;
         sample.dur_us = shard_recs[s].dur_us;
         sample.messages = shard_messages;
-        sample.prefixes = shard_items[s].size();
+        sample.prefixes = shard.prefixes.size();
         sample.arena_bytes = shard_recs[s].arena_bytes;
         result.shard_samples.push_back(sample);
         if (shard_trace) {

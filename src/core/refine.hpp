@@ -33,8 +33,9 @@
 //
 // Execution model (DESIGN.md section 8): each iteration is a simulate-in-
 // parallel / mutate-serially round.  All active prefixes are simulated
-// against the immutable iteration-start model (embarrassingly parallel,
-// fanned across RefineConfig::threads), then the heuristic consumes the
+// against the immutable iteration-start model -- each over its compacted
+// working set (section 12), in cost-balanced shards, one per worker of
+// RefineConfig::threads (section 13) -- then the heuristic consumes the
 // results serially in deterministic prefix order.  The same independence
 // argument as freezing applies within a round: policies are per-prefix, and
 // a duplicate another prefix's apply step adds never changes this prefix's
@@ -66,7 +67,6 @@ class FlightRecorder;
 
 namespace analysis {
 class ReachabilityCache;
-struct ShardPlan;
 }  // namespace analysis
 
 namespace topo {
@@ -112,7 +112,9 @@ struct RefineConfig {
   /// maximum AS-path length.
   std::size_t max_iterations = 96;
   /// Worker threads for the per-iteration simulation sweep (0 = hardware
-  /// concurrency).  Per-prefix simulations are independent and run against
+  /// concurrency).  Each iteration groups its active prefixes into this
+  /// many cost-balanced shards (analysis/partition) and every worker runs
+  /// whole shards.  Per-prefix simulations are independent and run against
   /// the immutable iteration-start model; the heuristic then mutates
   /// serially in deterministic prefix order, so the fitted model is
   /// byte-identical for every thread count.
@@ -120,33 +122,12 @@ struct RefineConfig {
 
   /// How the model is interpreted during fitting.  The default (agnostic,
   /// no iBGP) is the paper's choice; use_ibgp_mesh reproduces the rejected
-  /// alternative of Section 4.6.
+  /// alternative of Section 4.6.  The sweep simulates each prefix over its
+  /// compacted working set (Engine::run_compacted_into, DESIGN.md section
+  /// 12) and falls back to full runs where these options rule the
+  /// specialized loop out (relationship policies, IGP costs, iBGP mesh --
+  /// Engine::build_view returns null there).
   bgp::EngineOptions engine;
-
-  /// Sweep compaction (DESIGN.md section 12): simulate each prefix over its
-  /// static working set (analysis/workset.hpp relaxed bound, cached per
-  /// model generation) through Engine::run_compacted instead of the full
-  /// model.  Byte-identical fitted models with the flag on or off, at every
-  /// thread count; automatically falls back to full runs when the engine
-  /// options rule the specialized loop out (relationship policies, IGP
-  /// costs, iBGP mesh -- Engine::build_view returns null there).
-  bool compact_sweep = true;
-
-  /// Shard-executed sweep (DESIGN.md section 13): instead of fanning the
-  /// flat prefix list across workers, group each iteration's active
-  /// prefixes into cost-balanced shards (analysis/partition) and hand each
-  /// worker whole shards, so one giant prefix no longer gates the sweep
-  /// tail.  Scheduling only: results land in per-prefix slots and the
-  /// heuristic consumes them serially in deterministic order, so the
-  /// fitted model stays byte-identical with the flag on or off, for every
-  /// thread and shard count.
-  bool shard_sweep = true;
-  /// Externally supplied plan (e.g. `rdtool plan` output) executed instead
-  /// of the per-iteration default.  Must cover the full per-AS prefix list
-  /// of THIS model -- plan_fingerprint is verified and a mismatch stops
-  /// the fit with A822 / RefineStop::kFault.  The plan is read-only and
-  /// must outlive the call.
-  const analysis::ShardPlan* shard_plan = nullptr;
   /// Shared generation-keyed reachability cache (analysis/workset).  When
   /// non-null, the sweep's working-set BFS results are read from / written
   /// to this cache, so callers that already ran a plan or workset analysis
@@ -288,14 +269,9 @@ struct RefineResult {
   /// BGP messages processed across every simulation of the fit (the
   /// engine-throughput denominator for benchmarks).
   std::uint64_t messages_simulated = 0;
-  /// Simulations that ran through a compacted working-set view
-  /// (RefineConfig::compact_sweep); 0 when the flag is off or the engine
-  /// options forced the full-run fallback.
+  /// Simulations that ran through a compacted working-set view; 0 when the
+  /// engine options forced the full-run fallback.
   std::uint64_t compacted_runs = 0;
-  /// Iterations whose sweep ran shard-executed (RefineConfig::shard_sweep);
-  /// 0 when the flag is off or every iteration had too few active prefixes
-  /// to shard.
-  std::uint64_t sharded_iterations = 0;
   RefinePhaseSeconds phase_seconds;
   /// Effective worker count of the simulation sweep.
   unsigned threads_used = 1;
@@ -332,12 +308,12 @@ struct RefineResult {
   std::uint64_t cache_invalidations = 0;
 
   /// Sweep-profiler raw material (DESIGN.md section 14): one sample per
-  /// executed shard of every instrumented shard-executed sweep, and the
-  /// sweep (simulate-phase) span of each such iteration.  Populated only
-  /// when an observer with a registry or an iteration-level trace sink is
-  /// attached AND the sweep ran shard-executed; empty otherwise (the
-  /// zero-observer path records nothing).  obs::profile_sweep folds these
-  /// into the speedup-loss attribution `rdtool profile` reports.
+  /// non-empty shard of every iteration's sweep, and the sweep
+  /// (simulate-phase) span of each iteration.  Populated only when an
+  /// observer with a registry or an iteration-level trace sink is
+  /// attached; empty otherwise (the zero-observer path records nothing).
+  /// obs::profile_sweep folds these into the speedup-loss attribution
+  /// `rdtool profile` reports.
   std::vector<obs::SweepShardSample> shard_samples;
   std::vector<obs::SweepIterationSpan> sweep_spans;
 

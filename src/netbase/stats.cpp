@@ -105,11 +105,9 @@ double percentile(std::vector<double> samples, double p) {
   RD_CHECK(!samples.empty(), "percentile of empty sample vector");
   RD_DCHECK(p >= 0 && p <= 100, "percentile p outside [0, 100]");
   std::sort(samples.begin(), samples.end());
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+  const double rank = std::ceil(p / 100.0 * static_cast<double>(samples.size()));
+  const auto index = rank < 1 ? 0 : static_cast<std::size_t>(rank) - 1;
+  return samples[std::min(index, samples.size() - 1)];
 }
 
 LinearFit fit_line(const std::vector<double>& xs,

@@ -43,7 +43,9 @@ class Histogram {
   std::uint64_t total_ = 0;
 };
 
-/// Percentile of a sample vector (p in [0,100]); sorts a copy.
+/// Nearest-rank percentile of a sample vector (p in [0,100]); sorts a copy.
+/// Returns the sample at rank ceil(p/100 * n), i.e. index ceil(p/100 * n) - 1,
+/// so exactly floor((1 - p/100) * n) samples lie above it; p 0 is the minimum.
 double percentile(std::vector<double> samples, double p);
 
 /// Ordinary least squares fit y = a + b*x; returns {a, b, r2}.

@@ -3,7 +3,7 @@
 // recording coarse loop events -- iteration starts, shard executions with
 // their predicted cost, prefix freezes, checkpoints, faults -- cheaply
 // enough to stay attached by default.  On a degraded or faulted stop
-// (R700/R702/R703/R704/A822) core::refine_model dumps the rings to a
+// (R700/R702/R703/R704/R706) core::refine_model dumps the rings to a
 // post-mortem JSON so the last moments of a bad run are inspectable even
 // when no trace sink was attached.
 //
@@ -37,7 +37,7 @@ enum class FlightEventType : std::uint8_t {
   kPrefixFrozen,    // a=iteration, b=origin, c=PrefixOutcome as int
   kCheckpoint,      // a=iteration, b=ok (1) / failed (0)
   kInterrupt,       // a=iteration
-  kFault,           // a=iteration, b=kind (0 sweep, 1 plan, 2 resume)
+  kFault,           // a=iteration, b=kind (0 sweep, 2 resume)
   kStop,            // a=RefineStop as int, b=iterations
   // Serve-daemon events (serve::Server; DESIGN.md section 15).  Track
   // convention there: 0 = accept loop, 1 = admission (serialized by the

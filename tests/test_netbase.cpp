@@ -257,6 +257,21 @@ TEST(StatsTest, PercentileOfSamples) {
   EXPECT_DOUBLE_EQ(nb::percentile(xs, 0), 1);
   EXPECT_DOUBLE_EQ(nb::percentile(xs, 50), 3);
   EXPECT_DOUBLE_EQ(nb::percentile(xs, 100), 5);
+  // Nearest rank at n = 1, 100 and 400: ys[i] = i + 1, so a percentile's
+  // value is its rank ceil(p/100 * n).
+  EXPECT_DOUBLE_EQ(nb::percentile({7.5}, 0), 7.5);
+  EXPECT_DOUBLE_EQ(nb::percentile({7.5}, 99), 7.5);
+  EXPECT_DOUBLE_EQ(nb::percentile({7.5}, 100), 7.5);
+  std::vector<double> ys(400);
+  for (std::size_t i = 0; i < ys.size(); ++i) ys[i] = static_cast<double>(i + 1);
+  EXPECT_DOUBLE_EQ(nb::percentile(ys, 50), 200);
+  EXPECT_DOUBLE_EQ(nb::percentile(ys, 99), 396);  // 4 samples (1%) above
+  EXPECT_DOUBLE_EQ(nb::percentile(ys, 99.9), 400);
+  ys.resize(100);
+  EXPECT_DOUBLE_EQ(nb::percentile(ys, 0), 1);
+  EXPECT_DOUBLE_EQ(nb::percentile(ys, 50), 50);
+  EXPECT_DOUBLE_EQ(nb::percentile(ys, 99), 99);
+  EXPECT_DOUBLE_EQ(nb::percentile(ys, 100), 100);
 }
 
 TEST(StatsTest, FitLineRecoversSlope) {

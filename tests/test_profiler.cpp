@@ -271,10 +271,10 @@ TEST(InstrumentedRefineTest, ProfiledFitSamplesShardsWithoutPerturbingIt) {
   EXPECT_EQ(fit.model_text, bare_fit_text(0.08, 6, 4))
       << "attaching the profiler changed the fitted model";
 
-  // Every shard-executed iteration yields one sweep span and per-shard
-  // samples carrying the planner's predicted cost.
-  EXPECT_GT(fit.result.sharded_iterations, 0u);
-  EXPECT_EQ(fit.result.sweep_spans.size(), fit.result.sharded_iterations);
+  // Every iteration yields one sweep span and per-shard samples carrying
+  // the planner's predicted cost.
+  EXPECT_GT(fit.result.iterations, 0u);
+  EXPECT_EQ(fit.result.sweep_spans.size(), fit.result.iterations);
   ASSERT_FALSE(fit.result.shard_samples.empty());
   std::uint64_t messages = 0;
   for (const obs::SweepShardSample& sample : fit.result.shard_samples) {

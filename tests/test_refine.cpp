@@ -3,6 +3,10 @@
 // data, and bookkeeping of the iteration log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+
 #include "bgp/engine.hpp"
 #include "core/pipeline.hpp"
 #include "core/predict.hpp"
@@ -189,6 +193,45 @@ TEST(RefineTest, ConvergesOnGeneratedInternet) {
   EXPECT_TRUE(pipeline.lint.empty())
       << analysis::render_diagnostics(pipeline.lint);
   EXPECT_DOUBLE_EQ(pipeline.training_eval.stats.rib_out_rate(), 1.0);
+}
+
+TEST(RefineTest, FittedAsEdgesAreFullBicliques) {
+  // duplicate_router copies every session of its source, so a fit only
+  // ever grows each AS edge into a complete bipartite graph: all routers of
+  // A peer with all routers of B, and the session count is the sum over AS
+  // edges of routers(A) x routers(B) (DESIGN.md section 8).
+  core::Pipeline pipeline =
+      core::make_pipeline(core::PipelineConfig::with(0.05, 1));
+  core::run_data_stages(pipeline);
+  Model model = Model::one_router_per_as(pipeline.graph);
+  const core::RefineResult result = core::refine_model(
+      model, pipeline.split.training, core::RefineConfig{});
+  ASSERT_TRUE(result.success);
+  ASSERT_GT(result.routers_added, 0u) << "no duplicate to grow an edge";
+
+  // Sessions per AS pair, each counted once from its lower-ASN end.
+  std::map<std::pair<Asn, Asn>, std::size_t> sessions_per_edge;
+  for (Model::Dense r = 0; r < model.num_routers(); ++r) {
+    const Asn a = model.router_id(r).asn();
+    for (const Model::Dense peer : model.peers(r)) {
+      const Asn b = model.router_id(peer).asn();
+      ASSERT_NE(a, b) << "intra-AS session";
+      if (a < b) ++sessions_per_edge[{a, b}];
+    }
+  }
+  const std::vector<std::pair<Asn, Asn>> edges = pipeline.graph.edges();
+  ASSERT_EQ(sessions_per_edge.size(), edges.size())
+      << "a fit must neither add nor drop AS edges";
+  std::size_t biclique_sessions = 0;
+  for (const auto& [x, y] : edges) {
+    const std::pair<Asn, Asn> key = std::minmax(x, y);
+    const std::size_t full =
+        model.routers_of(x).size() * model.routers_of(y).size();
+    EXPECT_EQ(sessions_per_edge[key], full)
+        << "AS edge " << x << "-" << y << " is not a full biclique";
+    biclique_sessions += full;
+  }
+  EXPECT_EQ(model.num_sessions(), biclique_sessions);
 }
 
 TEST(RefineTest, ModelGrowthIsReported) {

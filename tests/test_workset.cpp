@@ -8,9 +8,9 @@
 // plain engine (including non-identity views with phantom message
 // charging), the relaxed/A820 fallback, the reachability cache's
 // generation keying (and its sharing between plan and refine in-process),
-// the greedy shard planner's determinism, balance and A821 advisory, and
-// the shard-executed sweep's plan-edge cases (single shard, empty shards,
-// fingerprint mismatch / A822).
+// and the greedy shard planner's determinism, balance and A821 advisory.
+// The shard-executed sweep's schedules, empty shards included, are pinned
+// by the reference fingerprints of test_refine_parallel.cpp.
 #include "analysis/workset.hpp"
 
 #include <gtest/gtest.h>
@@ -405,92 +405,6 @@ TEST(PartitionTest, DominantPrefixTripsImbalanceAdvisory) {
   std::size_t placed = 0;
   for (const auto& shard : plan.shards) placed += shard.prefixes.size();
   EXPECT_EQ(placed, worksets.size());
-}
-
-// ---- shard-executed sweep: plan edge cases ---------------------------------
-
-/// Relaxed worksets + plan for `model` at the requested shard count, the
-/// way `rdtool plan --no-exact` would produce them.
-analysis::ShardPlan plan_for(const Model& model, std::size_t shards) {
-  const bgp::Engine engine(model);
-  analysis::WorksetOptions no_exact;
-  no_exact.exact = false;
-  const std::vector<PrefixWorkset> worksets =
-      analysis::compute_all_worksets(engine, no_exact);
-  analysis::PlanOptions options;
-  options.shards = shards;
-  return analysis::plan_shards(worksets, model.num_routers(), options);
-}
-
-TEST(ShardExecutionTest, DegenerateShardCountsFitToTheFlatModel) {
-  // shards == 1 (the whole sweep in one shard) and shards far beyond the
-  // prefix count (most shards empty) are pure scheduling degenerations:
-  // both must execute and fit byte-for-byte the flat-sweep model.
-  core::Pipeline pipeline =
-      core::make_pipeline(core::PipelineConfig::with(0.05, 3));
-  core::run_data_stages(pipeline);
-
-  Model flat_model = Model::one_router_per_as(pipeline.graph);
-  core::RefineConfig flat;
-  flat.shard_sweep = false;
-  const core::RefineResult flat_result =
-      core::refine_model(flat_model, pipeline.split.training, flat);
-  ASSERT_TRUE(flat_result.success);
-  const std::string flat_text = topo::model_to_string(flat_model);
-
-  const std::size_t num_prefixes =
-      Model::one_router_per_as(pipeline.graph).asns().size();
-  for (const std::size_t shards : {std::size_t{1}, num_prefixes + 8}) {
-    Model model = Model::one_router_per_as(pipeline.graph);
-    const analysis::ShardPlan plan = plan_for(model, shards);
-    if (shards > num_prefixes) {
-      std::size_t empty = 0;
-      for (const auto& shard : plan.shards) empty += shard.prefixes.empty();
-      ASSERT_GT(empty, 0u) << "edge case not exercised";
-    }
-    core::RefineConfig config;
-    config.shard_plan = &plan;
-    const core::RefineResult result =
-        core::refine_model(model, pipeline.split.training, config);
-    EXPECT_TRUE(result.success) << shards << " shards";
-    EXPECT_GT(result.sharded_iterations, 0u) << shards << " shards";
-    EXPECT_EQ(result.iterations, flat_result.iterations) << shards << " shards";
-    EXPECT_EQ(result.messages_simulated, flat_result.messages_simulated)
-        << shards << " shards";
-    EXPECT_EQ(topo::model_to_string(model), flat_text)
-        << "fitted model differs from the flat sweep at " << shards
-        << " shards";
-  }
-}
-
-TEST(ShardExecutionTest, FingerprintMismatchStopsWithA822) {
-  // A plan computed for a different model: its workset indices would be
-  // mis-mapped, so refine_model must refuse it (A822, kFault) before
-  // touching the model.
-  topo::AsGraph other;
-  other.add_edge(1, 2);
-  other.add_edge(2, 3);
-  const Model other_model = Model::one_router_per_as(other);
-  const analysis::ShardPlan plan = plan_for(other_model, 2);
-
-  core::Pipeline pipeline =
-      core::make_pipeline(core::PipelineConfig::with(0.05, 3));
-  core::run_data_stages(pipeline);
-  Model model = Model::one_router_per_as(pipeline.graph);
-  ASSERT_NE(plan.fingerprint, analysis::plan_fingerprint(model));
-  const std::string before = topo::model_to_string(model);
-
-  core::RefineConfig config;
-  config.shard_plan = &plan;
-  const core::RefineResult result =
-      core::refine_model(model, pipeline.split.training, config);
-  EXPECT_EQ(result.stop, core::RefineStop::kFault);
-  EXPECT_FALSE(result.success);
-  EXPECT_EQ(result.iterations, 0u);
-  EXPECT_TRUE(
-      contains_code(result.diagnostics, codes::kPlanFingerprintMismatch));
-  EXPECT_EQ(topo::model_to_string(model), before)
-      << "a rejected plan must leave the model untouched";
 }
 
 TEST(ReachabilityCacheTest, PlanThenRefineSharesTheCacheInProcess) {

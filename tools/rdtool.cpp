@@ -170,7 +170,8 @@ constexpr char kExitCodeTable[] =
     "  2  usage or I/O error\n"
     "exit codes (profile):\n"
     "  0  profile report produced\n"
-    "  1  trace has no sweep shard spans (not a sharded refine trace)\n"
+    "  1  trace has no sweep shard spans (not an iteration-level refine "
+    "trace)\n"
     "  2  usage or I/O error\n"
     "exit codes (refine):\n"
     "  0  fit converged: every training path RIB-Out matched\n"
@@ -634,7 +635,6 @@ int cmd_refine(const nb::Cli& cli) {
     w.key("prefixes_budget_exhausted")
         .value(static_cast<std::uint64_t>(result.prefixes_budget_exhausted));
     w.key("checkpoint_written").value(result.checkpoint_written);
-    w.key("sharded_iterations").value(result.sharded_iterations);
     w.key("cache").begin_object();
     w.key("hits").value(result.cache_hits);
     w.key("misses").value(result.cache_misses);
@@ -1453,13 +1453,13 @@ int cmd_profile(const nb::Cli& cli) {
     std::fprintf(stderr,
                  "rdtool: %s has no sweep shard spans; profile needs a trace "
                  "from `refine --trace F` at --trace-level iteration or "
-                 "above, with the shard-executed sweep on (the default)\n",
+                 "above\n",
                  path.c_str());
     return 1;
   }
-  // Attribute only the sweeps that ran shard-executed (matching what an
-  // in-process RefineResult would carry); sweeps without shard samples --
-  // single-active-prefix tail iterations -- stay in the serial share.
+  // Attribute only the sweeps that carry shard samples (matching what an
+  // in-process RefineResult would carry); a sweep without any -- one that
+  // faulted before its shards were recorded -- stays in the serial share.
   std::vector<obs::SweepIterationSpan> sweeps;
   for (const obs::SweepIterationSpan& span : all_sweeps) {
     for (const obs::SweepShardSample& s : samples) {
@@ -1719,7 +1719,7 @@ int cmd_selftest(const nb::Cli& cli) {
       nb::Cli sub(2, const_cast<char**>(argv));
       if (cmd_stats(sub) != 0) return 1;
     }
-    // The same trace must profile: the default sweep is shard-executed, so
+    // The same trace must profile: the sweep is shard-executed, so
     // per-shard spans are present at trace level iteration and above.
     {
       const char* argv[] = {"rdtool", trace_path.c_str(), "--json"};
